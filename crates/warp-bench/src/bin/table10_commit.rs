@@ -15,8 +15,6 @@ fn main() {
     );
     let records = warp_bench::table10_commit(args.scale);
     if let Some(path) = args.json {
-        warp_bench::report::append_commit_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing commit report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+        warp_bench::cli::write_report(&path, &records);
     }
 }

@@ -14,8 +14,6 @@ fn main() {
     );
     let records = warp_bench::table11_serve(args.scale);
     if let Some(path) = args.json {
-        warp_bench::report::append_serve_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing serve report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+        warp_bench::cli::write_report(&path, &records);
     }
 }

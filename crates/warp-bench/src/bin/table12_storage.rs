@@ -18,8 +18,6 @@ fn main() {
     );
     let records = warp_bench::table12_storage(args.scale);
     if let Some(path) = args.json {
-        warp_bench::report::append_storage_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing storage report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+        warp_bench::cli::write_report(&path, &records);
     }
 }

@@ -16,8 +16,6 @@ fn main() {
     );
     let records = warp_bench::table13_replication(args.scale);
     if let Some(path) = args.json {
-        warp_bench::report::append_replication_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing replication report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+        warp_bench::cli::write_report(&path, &records);
     }
 }

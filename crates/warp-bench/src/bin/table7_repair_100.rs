@@ -14,15 +14,11 @@ fn main() {
         let workers = args.workers.unwrap_or(4);
         let records = warp_bench::repair_benchmark("table7_repair_100", &[args.scale], workers);
         if let Some(path) = args.json {
-            warp_bench::report::append_records(&path, &records)
-                .unwrap_or_else(|e| panic!("writing benchmark report: {e}"));
-            println!("wrote {} records to {}", records.len(), path.display());
+            warp_bench::cli::write_report(&path, &records);
         }
     }
     if let Some(path) = args.frontier {
         let records = warp_bench::frontier_benchmark("table7_repair_100", args.scale);
-        warp_bench::report::append_frontier_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing frontier report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+        warp_bench::cli::write_report(&path, &records);
     }
 }

@@ -13,8 +13,6 @@ fn main() {
     );
     let records = warp_bench::table9_recovery(args.scale);
     if let Some(path) = args.json {
-        warp_bench::report::append_recovery_records(&path, &records)
-            .unwrap_or_else(|e| panic!("writing recovery report: {e}"));
-        println!("wrote {} records to {}", records.len(), path.display());
+        warp_bench::cli::write_report(&path, &records);
     }
 }

@@ -1,7 +1,7 @@
 //! A minimal JSON value, emitter and parser.
 //!
 //! The workspace's `serde` is an offline shim without a JSON backend, so the
-//! machine-readable benchmark report (`BENCH_repair.json`) is produced and
+//! machine-readable benchmark reports (`BENCH_*.json`) are produced and
 //! consumed by this self-contained module instead. It supports exactly the
 //! JSON subset the report needs: objects, arrays, strings (with `\"`, `\\`,
 //! `\n`, `\t`, `\uXXXX` escapes), numbers, booleans and null.

@@ -2,7 +2,7 @@
 //! ≥ 5x fewer re-executed history nodes column-aware vs partition-grained,
 //! with byte-identical canonical dumps.
 
-use warp_bench::report::{evaluate_frontier_gate, FRONTIER_MIN_RATIO};
+use warp_bench::report::evaluate_frontier_gate;
 
 #[test]
 fn frontier_benchmark_passes_its_own_gate() {
@@ -11,7 +11,6 @@ fn frontier_benchmark_passes_its_own_gate() {
     let verdict = evaluate_frontier_gate(&records).expect("both modes recorded");
     assert!(
         verdict.pass,
-        "frontier gate must pass at smoke scale: worst ratio {:.1} (limit {FRONTIER_MIN_RATIO}), dumps match: {}",
-        verdict.worst_ratio, verdict.dumps_match
+        "frontier gate must pass at smoke scale: {verdict:?}"
     );
 }
